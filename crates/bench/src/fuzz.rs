@@ -226,7 +226,8 @@ fn anchored_dag(rng: &mut StdRng, max_nodes: usize) -> Graph {
 /// context MatMul — the dataflow of one decoder attention head. Random
 /// head counts, lengths and head widths; sometimes a `Concat` splices a
 /// "past" segment onto the keys/values first, exactly like a KV-cache step
-/// graph.
+/// graph. The heads are then merged, gathered and pooled
+/// ([`attention_epilogue`]).
 fn attention_chain(rng: &mut StdRng, _max_nodes: usize) -> Graph {
     let heads = 1 + below(rng, 3);
     let q_len = 1 + below(rng, 4);
@@ -289,7 +290,77 @@ fn attention_chain(rng: &mut StdRng, _max_nodes: usize) -> Graph {
         // The attention probabilities escape mid-chain too.
         g.mark_output(probs);
     }
+    attention_epilogue(&mut g, rng, ctx, [heads, q_len, head_dim]);
     g
+}
+
+/// Merges the heads of `ctx` back into rows (`Transpose`, then `Reshape` or
+/// `Flatten`), gathers some rows or columns through an explicit index
+/// weight (negative indices included), and pools them with a random
+/// reduction whose kept or dropped axis is squeezed or unsqueezed — the
+/// decoder's data-movement tail plus every other operator with a
+/// flat-slice kernel.
+fn attention_epilogue(g: &mut Graph, rng: &mut StdRng, ctx: ValueId, dims: [usize; 3]) {
+    let [heads, q_len, head_dim] = dims;
+    let merged = g
+        .add_op(
+            OpKind::Transpose,
+            Attrs::new().with_ints("perm", vec![1, 0, 2]),
+            &[ctx],
+            "merge",
+        )
+        .unwrap()[0];
+    let rows = if below(rng, 2) == 0 {
+        let shape = vec![q_len as i64, (heads * head_dim) as i64];
+        let attrs = Attrs::new().with_ints("shape", shape);
+        g.add_op(OpKind::Reshape, attrs, &[merged], "merge.flat")
+    } else {
+        let attrs = Attrs::new().with_int("axis", 1);
+        g.add_op(OpKind::Flatten, attrs, &[merged], "merge.flat")
+    }
+    .unwrap()[0];
+    let axis = below(rng, 2);
+    let extent = [q_len, heads * head_dim][axis] as i64;
+    let ids: Vec<f32> = (0..1 + below(rng, 4))
+        .map(|_| (below(rng, 2 * extent as usize) as i64 - extent) as f32)
+        .collect();
+    let ids = g.add_weight_with_data(
+        "pick.ids",
+        Tensor::from_vec(Shape::new(vec![ids.len()]), ids).expect("ids match their shape"),
+    );
+    let picked = g
+        .add_op(
+            OpKind::Gather,
+            Attrs::new().with_int("axis", axis as i64),
+            &[rows, ids],
+            "pick",
+        )
+        .unwrap()[0];
+    let reduce = pick(
+        rng,
+        &[OpKind::ReduceMean, OpKind::ReduceMin, OpKind::ReduceProd],
+    );
+    let pool_axis = below(rng, 2) as i64;
+    let keepdims = below(rng, 2) as i64;
+    let pooled = g
+        .add_op(
+            reduce,
+            Attrs::new()
+                .with_ints("axes", vec![pool_axis])
+                .with_int("keepdims", keepdims),
+            &[picked],
+            "pool",
+        )
+        .unwrap()[0];
+    let out = if keepdims == 1 {
+        let attrs = Attrs::new().with_ints("axes", vec![pool_axis]);
+        g.add_op(OpKind::Squeeze, attrs, &[pooled], "pool.squeeze")
+    } else {
+        let attrs = Attrs::new().with_ints("axes", vec![0]);
+        g.add_op(OpKind::Unsqueeze, attrs, &[pooled], "pool.unsqueeze")
+    }
+    .unwrap()[0];
+    g.mark_output(out);
 }
 
 /// Deterministically generates the model for `seed`: the seed fully
@@ -494,6 +565,23 @@ mod tests {
                 names.contains(family),
                 "seeds 0..32 never produced {family}"
             );
+        }
+    }
+
+    #[test]
+    fn every_flat_slice_kind_appears_over_a_short_seed_range() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for seed in 0..32u64 {
+            let graph = random_fuzz_graph(seed, 12);
+            kinds.extend(graph.nodes().map(|n| n.op));
+        }
+        use OpKind::*;
+        for op in [
+            Concat, Transpose, Reshape, Flatten, Squeeze, Unsqueeze, ReduceSum, ReduceMean,
+            ReduceMax, ReduceMin, ReduceProd, Gather,
+        ] {
+            assert!(dnnf_ops::has_fast_kernel(op), "{op} has no fast kernel");
+            assert!(kinds.contains(&op), "seeds 0..32 never emitted {op}");
         }
     }
 

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use dnnf_graph::Graph;
 
 use crate::exec::{compile_plan, CompiledPlan};
-use crate::{CompiledModel, CoreError};
+use crate::{CompiledModel, CoreError, RuntimeCacheSlot};
 
 /// How many distinct batch sizes a model caches executable instances for.
 /// Serving workloads coalesce to a handful of batch sizes (1..=max_batch),
@@ -43,6 +43,7 @@ pub struct BatchInstance {
     batch: usize,
     graph: Graph,
     engine: CompiledPlan,
+    runtime_cache: RuntimeCacheSlot,
 }
 
 impl BatchInstance {
@@ -62,6 +63,14 @@ impl BatchInstance {
     #[must_use]
     pub fn engine(&self) -> &CompiledPlan {
         &self.engine
+    }
+
+    /// This instance's own runtime cache slot (see [`RuntimeCacheSlot`]):
+    /// state the runtime derives from the instance's shapes lives here, so
+    /// it is built once per instance and evicted with it.
+    #[must_use]
+    pub fn runtime_cache(&self) -> &RuntimeCacheSlot {
+        &self.runtime_cache
     }
 }
 
@@ -125,6 +134,7 @@ impl CompiledModel {
             batch,
             graph,
             engine,
+            runtime_cache: RuntimeCacheSlot::default(),
         });
 
         let mut state = cache.state.lock().expect("batch instance lock");

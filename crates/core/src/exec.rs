@@ -8,11 +8,12 @@
 //! evaluated **once per output element** in a single pass — intermediate
 //! tensors inside the run are never materialized, they live in scalar
 //! registers. The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling)
-//! execute through the optimized kernels of `dnnf-ops` (bit-identical to the
-//! reference kernels), and every operator without a compiled form falls back
-//! to the reference kernel [`dnnf_ops::execute`] — so the engine covers the
-//! full operator vocabulary while the differential test harness pins it to
-//! the reference semantics.
+//! and the data-movement and reduction operators (`Concat`, `Transpose`,
+//! the reshape family, `Reduce*`, `Gather`) execute through the optimized
+//! kernels of `dnnf-ops` (bit-identical to the reference kernels), and every
+//! operator without a compiled form falls back to the reference kernel
+//! [`dnnf_ops::execute`] — so the engine covers the full operator vocabulary
+//! while the differential test harness pins it to the reference semantics.
 //!
 //! Output buffers are drawn from a [`BufferPool`] so the runtime can recycle
 //! allocations across blocks (see `dnnf-runtime`'s arena).
@@ -553,8 +554,8 @@ impl PackedWeights {
 pub enum Step {
     /// A fused element-wise run evaluated in a single pass.
     Tape(ScalarTape),
-    /// A single operator executed through the optimized anchor kernels (or
-    /// the reference kernel when no fast form exists).
+    /// A single operator executed through its optimized `dnnf-ops` kernel
+    /// (or the reference kernel when no fast form exists).
     Op {
         /// The graph node to execute.
         node: NodeId,

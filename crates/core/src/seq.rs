@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use dnnf_graph::Graph;
 
 use crate::exec::{compile_plan, CompiledPlan};
-use crate::{CompiledModel, CoreError};
+use crate::{CompiledModel, CoreError, RuntimeCacheSlot};
 
 /// How many distinct sequence lengths a model caches executable instances
 /// for. A decode loop walks lengths in order, touching each once, so the
@@ -36,6 +36,7 @@ pub struct SeqInstance {
     seq_len: usize,
     graph: Graph,
     engine: CompiledPlan,
+    runtime_cache: RuntimeCacheSlot,
 }
 
 impl SeqInstance {
@@ -55,6 +56,14 @@ impl SeqInstance {
     #[must_use]
     pub fn engine(&self) -> &CompiledPlan {
         &self.engine
+    }
+
+    /// This instance's own runtime cache slot (see [`RuntimeCacheSlot`]):
+    /// state the runtime derives from the instance's shapes lives here, so
+    /// it is built once per instance and evicted with it.
+    #[must_use]
+    pub fn runtime_cache(&self) -> &RuntimeCacheSlot {
+        &self.runtime_cache
     }
 }
 
@@ -120,6 +129,7 @@ impl CompiledModel {
             seq_len,
             graph,
             engine,
+            runtime_cache: RuntimeCacheSlot::default(),
         });
 
         let mut state = cache.state.lock().expect("seq instance lock");

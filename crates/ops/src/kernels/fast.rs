@@ -1,5 +1,8 @@
-//! Optimized kernels for the compute-heavy anchor operators, used by the
-//! fused-block execution engine.
+//! Optimized kernels used by the fused-block execution engine: the
+//! compute-heavy anchor operators (`Conv`, `MatMul`, `Gemm`, pooling) here,
+//! and the data-movement and reduction operators (`Concat`, `Transpose`,
+//! the reshape family, `Reduce*`, `Gather`) in the sibling flat-slice
+//! module.
 //!
 //! The reference kernels in this crate define the semantics; they index every
 //! element through bounds-checked multi-dimensional lookups and allocate
@@ -9,16 +12,17 @@
 //! in the same sequence, so outputs are bit-identical — but with precomputed
 //! strides, flat-slice indexing and no allocation inside the hot loops.
 //!
-//! Every kernel is additionally **data-parallel** over a [`WorkPool`]: the
-//! output index space is partitioned into disjoint tiles (convolution and
-//! pooling over `(batch, channel)` planes, matrix products over output
-//! rows), and each tile is computed start-to-finish by one thread with the
-//! serial kernel's exact accumulation order. No reduction is ever split
+//! Every anchor kernel is additionally **data-parallel** over a
+//! [`WorkPool`]: the output index space is partitioned into disjoint tiles
+//! (convolution and pooling over `(batch, channel)` planes, matrix products
+//! over output rows), and each tile is computed start-to-finish by one
+//! thread with the serial kernel's exact accumulation order. No reduction is ever split
 //! across threads, so results are bit-identical for every thread count —
 //! [`execute_fast_into`] with a serial pool and
 //! [`execute_fast_into_threaded`] with any pool produce the same bytes.
+//! The flat-slice kernels are serial copies and single-pass folds.
 //!
-//! Within a thread's tile, every kernel here is additionally
+//! Within a thread's tile, every anchor kernel here is additionally
 //! **lane-blocked** over the [`crate::simd`] bundles: 4–8 consecutive output
 //! elements accumulate in lockstep, one element per lane, each lane running
 //! the scalar kernel's exact operation sequence (two rounding steps per
@@ -45,16 +49,17 @@ use crate::parallel::WorkPool;
 use crate::simd::{F32Lanes, LANES};
 use crate::{Attrs, OpError, OpKind};
 
-/// Whether `op` has an optimized kernel in this module. The fused engine
-/// uses this registry to decide between the fast path and the reference
-/// fallback ([`crate::execute`]).
+/// Whether `op` has an optimized kernel here or in the flat-slice module
+/// (data movement and reductions). The fused engine uses this registry to
+/// decide between the fast path and the reference fallback
+/// ([`crate::execute`]).
 #[must_use]
 pub fn has_fast_kernel(op: OpKind) -> bool {
     use OpKind::*;
     matches!(
         op,
         Conv | MatMul | Gemm | MaxPool | AveragePool | GlobalAveragePool
-    )
+    ) || super::flat::handles(op)
 }
 
 /// Output channels per block of a packed conv weight panel — one full
@@ -197,12 +202,15 @@ pub fn execute_fast_into_packed(
             fast_pool(op, attrs, inputs, out_shape, out, pool)?
         }
         OpKind::GlobalAveragePool => fast_global_average_pool(inputs, out_shape, out, pool)?,
+        _ if super::flat::handles(op) => {
+            super::flat::execute_into(op, attrs, inputs, out_shape, out)?
+        }
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-fn arity(op: OpKind, inputs: &[&Tensor], min: usize) -> Result<(), OpError> {
+pub(super) fn arity(op: OpKind, inputs: &[&Tensor], min: usize) -> Result<(), OpError> {
     if inputs.len() < min {
         return Err(OpError::ArityMismatch {
             op,
@@ -2111,7 +2119,22 @@ mod tests {
             }
         }
         assert!(has_fast_kernel(OpKind::Conv));
-        assert!(!has_fast_kernel(OpKind::Softmax));
+        use OpKind::*;
+        for op in [
+            Concat, Transpose, Reshape, Flatten, Squeeze, Unsqueeze, ReduceSum, ReduceMean,
+            ReduceMax, ReduceMin, ReduceProd, Gather,
+        ] {
+            assert!(has_fast_kernel(op), "{op} is not registered");
+        }
+        for op in [Softmax, Slice, Split, Pad, Resize, ConvTranspose] {
+            assert!(!has_fast_kernel(op), "{op} has no fast kernel");
+            let x = Tensor::scalar(1.0);
+            let mut out = [0.0f32];
+            assert!(
+                !execute_fast_into(op, &Attrs::new(), &[&x], &Shape::scalar(), &mut out).unwrap(),
+                "{op} dispatched without being registered"
+            );
+        }
     }
 
     #[test]

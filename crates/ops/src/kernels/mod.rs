@@ -9,6 +9,7 @@
 mod conv;
 mod elementwise;
 pub(crate) mod fast;
+mod flat;
 mod matmul;
 mod norm;
 mod pool;

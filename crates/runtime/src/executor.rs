@@ -18,11 +18,20 @@
 //!   materialized. This is the semantic oracle the differential test harness
 //!   pins the engine against, and the baseline the wall-clock benches
 //!   compare with.
+//!
+//! Everything about a run that does not depend on the input values — the
+//! block order, the [`MemoryPlan`], the buffer-death lists and the simulated
+//! counters — is a *run schedule*: a pure function of (graph, plan, device,
+//! cache-simulation flag). The compiled-model entry points build it once
+//! per compiled instance (the model itself, each batch or sequence
+//! instance), keep it in that instance's runtime cache slot (one per device
+//! and flag) and reuse it on every later run; evicting an instance drops
+//! its schedules with it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use dnnf_core::{compile_plan, BufferPool, CompiledModel, Ecg, FusionPlan};
+use dnnf_core::{compile_plan, BufferPool, CompiledModel, Ecg, FusionPlan, RuntimeCacheSlot};
 use dnnf_graph::{Graph, ValueId};
 use dnnf_ops::execute;
 use dnnf_profiledb::ProfileDatabase;
@@ -60,6 +69,28 @@ pub struct Executor {
     simulate_cache: bool,
     options: ExecOptions,
 }
+
+/// The input-independent half of a run, built by
+/// [`Executor::build_schedule`].
+#[derive(Debug)]
+struct RunSchedule {
+    /// Block indices in execution order.
+    order: Vec<usize>,
+    /// Per position in `order`: the boundary values whose buffers return to
+    /// the arena once that block has run (graph outputs never do).
+    deaths: Vec<Vec<ValueId>>,
+    memory: MemoryPlan,
+    counters: Counters,
+}
+
+/// Schedules cached on one compiled instance, one per (device,
+/// cache-simulation flag) an executor ran it with.
+#[derive(Default)]
+struct RunSchedules(Mutex<Vec<(DeviceSpec, bool, Arc<RunSchedule>)>>);
+
+/// Bound on [`RunSchedules`]: a process normally runs an instance on one or
+/// two simulated devices; beyond this the oldest schedule is dropped.
+const MAX_SCHEDULES_PER_INSTANCE: usize = 4;
 
 /// Shared per-run device accounting (identical for both execution paths, so
 /// counters never depend on which engine produced the numbers).
@@ -140,6 +171,7 @@ impl Executor {
             model.graph(),
             &model.plan,
             &model.engine,
+            Some(model.runtime_cache()),
             &store,
             inputs,
             None,
@@ -186,6 +218,7 @@ impl Executor {
             instance.graph(),
             &model.plan,
             instance.engine(),
+            Some(instance.runtime_cache()),
             &store,
             inputs,
             None,
@@ -228,6 +261,7 @@ impl Executor {
                 graph,
                 &model.plan,
                 &model.engine,
+                Some(model.runtime_cache()),
                 &store,
                 inputs,
                 None,
@@ -240,6 +274,7 @@ impl Executor {
             instance.graph(),
             &model.plan,
             instance.engine(),
+            Some(instance.runtime_cache()),
             &store,
             inputs,
             None,
@@ -354,6 +389,7 @@ impl Executor {
             model.graph(),
             &model.plan,
             &model.engine,
+            Some(model.runtime_cache()),
             &store,
             inputs,
             Some(db),
@@ -380,6 +416,7 @@ impl Executor {
             model.graph(),
             &model.plan,
             &model.engine,
+            Some(model.runtime_cache()),
             store,
             inputs,
             None,
@@ -413,6 +450,13 @@ impl Executor {
     /// pointlessly slow and the paper's metrics are all counter-based.
     #[must_use]
     pub fn estimate_plan(&self, graph: &Graph, plan: &FusionPlan) -> (Counters, MemoryPlan) {
+        let schedule = self.build_schedule(graph, plan);
+        (schedule.counters, schedule.memory)
+    }
+
+    /// Builds the input-independent [`RunSchedule`] of `plan` over `graph`
+    /// for this executor's device and cache-simulation flag.
+    fn build_schedule(&self, graph: &Graph, plan: &FusionPlan) -> RunSchedule {
         let order = plan.execution_order(graph);
         let memory = MemoryPlan::build(graph, plan, &order, self.device.elem_bytes);
         let mut acct = self.accounting(graph);
@@ -421,7 +465,47 @@ impl Executor {
             self.account_block(graph, plan, block, &mut acct);
         }
         let counters = self.finish(acct, &memory);
-        (counters, memory)
+        let mut deaths: Vec<Vec<ValueId>> = vec![Vec::new(); order.len()];
+        for lifetime in &memory.lifetimes {
+            if !graph.outputs().contains(&lifetime.value) {
+                deaths[lifetime.death].push(lifetime.value);
+            }
+        }
+        RunSchedule {
+            order,
+            deaths,
+            memory,
+            counters,
+        }
+    }
+
+    /// The run schedule for `graph`/`plan`: from `cache` (the slot of the
+    /// compiled instance they belong to) when this executor's device and
+    /// cache-simulation flag already have one there, else built — and
+    /// stored in `cache` for the next run.
+    fn schedule(
+        &self,
+        cache: Option<&RuntimeCacheSlot>,
+        graph: &Graph,
+        plan: &FusionPlan,
+    ) -> Arc<RunSchedule> {
+        let Some(cache) = cache else {
+            return Arc::new(self.build_schedule(graph, plan));
+        };
+        let schedules = cache.get_or_init(RunSchedules::default);
+        let mut entries = schedules.0.lock().expect("run schedule lock");
+        let key = |(device, simulate, _): &&(DeviceSpec, bool, Arc<RunSchedule>)| {
+            *device == self.device && *simulate == self.simulate_cache
+        };
+        if let Some((.., hit)) = entries.iter().find(key) {
+            return Arc::clone(hit);
+        }
+        let built = Arc::new(self.build_schedule(graph, plan));
+        if entries.len() >= MAX_SCHEDULES_PER_INSTANCE {
+            entries.remove(0);
+        }
+        entries.push((self.device.clone(), self.simulate_cache, Arc::clone(&built)));
+        built
     }
 
     /// Estimates the counters of the unfused execution of a graph (every
@@ -478,16 +562,18 @@ impl Executor {
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
         let store = WeightStore::build(graph);
-        self.run_plan_with_store(graph, plan, engine, &store, inputs, None)
+        self.run_plan_with_store(graph, plan, engine, None, &store, inputs, None)
     }
 
     /// [`Executor::run_plan_with_store_arc`] over a map of owned tensors:
     /// each graph input is cloned into a shared handle once per run.
+    #[allow(clippy::too_many_arguments)]
     fn run_plan_with_store(
         &self,
         graph: &Graph,
         plan: &FusionPlan,
         engine: &dnnf_core::CompiledPlan,
+        cache: Option<&RuntimeCacheSlot>,
         store: &WeightStore,
         inputs: &HashMap<String, Tensor>,
         profile: Option<&mut ProfileDatabase>,
@@ -496,23 +582,26 @@ impl Executor {
             .iter()
             .map(|(name, tensor)| (name.clone(), Arc::new(tensor.clone())))
             .collect();
-        self.run_plan_with_store_arc(graph, plan, engine, store, &shared, profile)
+        self.run_plan_with_store_arc(graph, plan, engine, cache, store, &shared, profile)
     }
 
     /// The shared engine-dispatch path: boundary tensors in slot storage,
     /// inputs and weights handed out by `Arc` clone (no copying, no
-    /// re-materialization), prepacked panels forwarded to the kernels.
+    /// re-materialization), prepacked panels forwarded to the kernels, and
+    /// the run schedule taken from `cache` (the slot of the compiled
+    /// instance `graph` and `engine` belong to) when there is one.
+    #[allow(clippy::too_many_arguments)]
     fn run_plan_with_store_arc(
         &self,
         graph: &Graph,
         plan: &FusionPlan,
         engine: &dnnf_core::CompiledPlan,
+        cache: Option<&RuntimeCacheSlot>,
         store: &WeightStore,
         inputs: &HashMap<String, Arc<Tensor>>,
         mut profile: Option<&mut ProfileDatabase>,
     ) -> Result<ExecutionReport, RuntimeError> {
-        let order = plan.execution_order(graph);
-        let memory = MemoryPlan::build(graph, plan, &order, self.device.elem_bytes);
+        let schedule = self.schedule(cache, graph, plan);
 
         // Slot-indexed boundary storage: inputs, weights, block outputs.
         let mut env: Vec<Option<Arc<Tensor>>> = vec![None; graph.value_count()];
@@ -528,18 +617,10 @@ impl Executor {
 
         // Buffer recycling: each boundary value's buffer returns to the
         // arena right after the block at its death position has executed.
-        let mut deaths: Vec<Vec<ValueId>> = vec![Vec::new(); order.len()];
-        for lifetime in &memory.lifetimes {
-            if !graph.outputs().contains(&lifetime.value) {
-                deaths[lifetime.death].push(lifetime.value);
-            }
-        }
         let mut arena = TensorArena::new();
         let workers = self.options.pool();
 
-        let mut acct = self.accounting(graph);
-        for (pos, &block_idx) in order.iter().enumerate() {
-            let block = &plan.blocks()[block_idx];
+        for (&block_idx, deaths) in schedule.order.iter().zip(&schedule.deaths) {
             let kernel = engine.kernel(block_idx);
             let started = profile.as_ref().map(|_| std::time::Instant::now());
             let produced = kernel
@@ -553,13 +634,13 @@ impl Executor {
                 .map_err(RuntimeError::Core)?;
             if let (Some(db), Some(started)) = (profile.as_deref_mut(), started) {
                 let micros = started.elapsed().as_secs_f64() * 1e6;
+                let block = &plan.blocks()[block_idx];
                 db.record(dnnf_core::block_profile_key(graph, &block.nodes), micros);
             }
             for (out_id, tensor) in produced {
                 env[out_id.index()] = Some(Arc::new(tensor));
             }
-            self.account_block(graph, plan, block, &mut acct);
-            for &dead in &deaths[pos] {
+            for &dead in deaths {
                 if let Some(handle) = env[dead.index()].take() {
                     if let Ok(tensor) = Arc::try_unwrap(handle) {
                         arena.recycle(tensor.into_vec());
@@ -568,7 +649,6 @@ impl Executor {
             }
         }
 
-        let counters = self.finish(acct, &memory);
         // Graph outputs are excluded from recycling, so each slot holds the
         // only reference and unwraps without copying the tensor.
         let outputs = self.collect_outputs(graph, |id| {
@@ -578,8 +658,8 @@ impl Executor {
         })?;
         Ok(ExecutionReport {
             outputs,
-            counters,
-            memory,
+            counters: schedule.counters.clone(),
+            memory: schedule.memory.clone(),
         })
     }
 
@@ -609,11 +689,8 @@ impl Executor {
             env.insert(id, tensor);
         }
 
-        let order = plan.execution_order(graph);
-        let memory = MemoryPlan::build(graph, plan, &order, self.device.elem_bytes);
-        let mut acct = self.accounting(graph);
-
-        for &block_idx in &order {
+        let schedule = self.build_schedule(graph, plan);
+        for &block_idx in &schedule.order {
             let block = &plan.blocks()[block_idx];
             // --- Functional execution of the block ---
             let mut scratch: HashMap<ValueId, Tensor> = HashMap::new();
@@ -650,15 +727,13 @@ impl Executor {
                     }
                 }
             }
-            self.account_block(graph, plan, block, &mut acct);
         }
 
-        let counters = self.finish(acct, &memory);
         let outputs = self.collect_outputs(graph, |id| env.get(&id).cloned())?;
         Ok(ExecutionReport {
             outputs,
-            counters,
-            memory,
+            counters: schedule.counters,
+            memory: schedule.memory,
         })
     }
 
